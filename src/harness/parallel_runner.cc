@@ -4,21 +4,6 @@
 
 namespace topk {
 
-namespace {
-
-/// Maps a stopped control to its caller-facing status, ticking the
-/// deadline counter (cancellation shares it: both are "the query did not
-/// run to completion by request").
-Status StopStatus(const QueryControl& control, Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) {
-    return Status::Aborted("sharded range query cancelled");
-  }
-  return Status::DeadlineExceeded("sharded range query deadline exceeded");
-}
-
-}  // namespace
-
 ParallelRunner::ParallelRunner(const ShardedStore* store,
                                ParallelRunnerOptions options)
     : store_(store),
@@ -131,7 +116,7 @@ Status ParallelRunner::RangeQuery(Algorithm algorithm, size_t query_index,
   MutexLock lock(&mutex_);
   if (algorithm != Algorithm::kMinimalFV) PrepareLocked(algorithm);
   if (control != nullptr && control->ShouldStop()) {
-    return StopStatus(*control, stats);
+    return StopStatus(*control, "sharded range query", stats);
   }
   for (size_t s = 0; s < shards_.size(); ++s) {
     scratch_stats_[s].Reset();
@@ -152,7 +137,7 @@ Status ParallelRunner::RangeQuery(Algorithm algorithm, size_t query_index,
     }
   }
   if (control != nullptr && control->ShouldStop()) {
-    return StopStatus(*control, stats);
+    return StopStatus(*control, "sharded range query", stats);
   }
   *out = MergeShardRangeResults(scratch_results_);
   return Status::OK();

@@ -74,28 +74,17 @@ std::vector<RankingId> ShardedMutableStore::RangeQuery(
 std::vector<Neighbor> ShardedMutableStore::KnnQuery(
     const PreparedQuery& query, size_t j, Statistics* stats) {
   MutexLock lock(&mutex_);
-  std::vector<Neighbor> all;
-  size_t live = 0;
+  // Each shard contributes its exact top-min(j, shard live) on
+  // (distance, id), and local -> global maps preserve id order within a
+  // shard, so the global top-j is among the offers.
+  NeighborHeap best(j);
   for (size_t s = 0; s < shards_.size(); ++s) {
-    live += shards_[s]->live_size();
-    std::vector<Neighbor> part = shards_[s]->KnnQuery(query, j, stats);
     const std::vector<RankingId>& map = shard_to_global_[s];
-    for (Neighbor& n : part) {
-      n.id = map[n.id];
-      all.push_back(n);
+    for (const Neighbor& n : shards_[s]->KnnQuery(query, j, stats)) {
+      best.Offer(map[n.id], n.distance);
     }
   }
-  // Each shard contributed its exact top-min(j, shard live) on
-  // (distance, id), and local -> global maps preserve id order within a
-  // shard, so the global top-j is contained in `all`.
-  const size_t take = std::min(j, std::min(live, all.size()));
-  const auto by_distance_then_id = [](const Neighbor& a, const Neighbor& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
-  };
-  std::partial_sort(all.begin(), all.begin() + static_cast<ptrdiff_t>(take),
-                    all.end(), by_distance_then_id);
-  all.resize(take);
-  return all;
+  return std::move(best).Finish();
 }
 
 bool ShardedMutableStore::MergeAllNow() {

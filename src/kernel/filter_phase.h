@@ -1,12 +1,12 @@
 // Shared F&V filter phase: posting-union + dedup over caller-owned scratch.
 //
-// Every union-validating path in the library — FilterValidateEngine,
-// CoarseIndex's medoid retrieval, QueryFrontend's candidate-cache miss
-// path — runs the same loop: pick the accessible posting lists (drop
-// policy), scan them, and deduplicate ranking ids through an epoch-stamped
-// VisitedSet. Until this header existed each caller carried its own copy,
-// pinned together only by the fuzz differentials; now they all call
-// FilterPhase and the loop exists once.
+// The loop picks the accessible posting lists (drop policy), scans them,
+// and deduplicates ranking ids through an epoch-stamped VisitedSet. It
+// has three callers: the range pipeline RangeSearch
+// (kernel/range_search.h — behind every F&V engine, MutableStore
+// segment and ResilientReader snapshot read), CoarseIndex's medoid
+// retrieval, and QueryFrontend's candidate-cache miss path, which
+// memoizes the union before handing it to RangeSearch.
 //
 // Contract (bit-compatible with the historical loops, which
 // kernel_filter_test pins):

@@ -12,6 +12,9 @@
 #ifndef TOPK_METRIC_KNN_H_
 #define TOPK_METRIC_KNN_H_
 
+#include <algorithm>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/ranking.h"
@@ -27,6 +30,52 @@ struct Neighbor {
   RawDistance distance;
 
   friend bool operator==(const Neighbor&, const Neighbor&) = default;
+};
+
+/// Bounded best-j set over (distance, id) pairs: a max-heap whose top is
+/// the current worst admitted neighbour. Offer order does not matter —
+/// (distance, id) is a total order, so ties resolve exactly as a full
+/// sort would.
+class NeighborHeap {
+ public:
+  explicit NeighborHeap(size_t capacity) : capacity_(capacity) {}
+
+  bool full() const { return heap_.size() == capacity_; }
+
+  /// Worst admitted distance; infinite while not full.
+  RawDistance Bound() const {
+    return full() ? heap_.front().distance
+                  : std::numeric_limits<RawDistance>::max();
+  }
+
+  void Offer(RankingId id, RawDistance distance) {
+    if (capacity_ == 0) return;
+    const Neighbor candidate{id, distance};
+    if (!full()) {
+      heap_.push_back(candidate);
+      std::push_heap(heap_.begin(), heap_.end(), Less);
+      return;
+    }
+    if (Less(candidate, heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), Less);
+      heap_.back() = candidate;
+      std::push_heap(heap_.begin(), heap_.end(), Less);
+    }
+  }
+
+  /// The admitted neighbours sorted by (distance, id).
+  std::vector<Neighbor> Finish() && {
+    std::sort(heap_.begin(), heap_.end(), Less);
+    return std::move(heap_);
+  }
+
+ private:
+  static bool Less(const Neighbor& a, const Neighbor& b) {
+    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
+  }
+
+  size_t capacity_;
+  std::vector<Neighbor> heap_;  // max-heap under Less
 };
 
 /// Exhaustive baseline (and differential-test oracle).

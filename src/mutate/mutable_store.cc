@@ -9,9 +9,9 @@
 
 #include "core/failpoint.h"
 #include "invidx/drop_policy.h"
+#include "kernel/range_search.h"
 #include "storage/compressed_arena.h"
 #include "storage/compressed_augmented.h"
-#include "storage/snapshot.h"
 #include "storage/snapshot_manager.h"
 
 namespace topk {
@@ -149,66 +149,6 @@ void MutableStore::BumpGenerationLocked() {
   for (const auto& listener : listeners_) listener();
 }
 
-template <typename Index>
-void MutableStore::CollectRangeLocked(const RankingStore& seg_store,
-                                      const Index& index,
-                                      const std::vector<RankingId>& global_ids,
-                                      RankingView query, RawDistance theta_raw,
-                                      std::vector<RankingId>* out,
-                                      Statistics* stats,
-                                      QueryControl* control) {
-  if (seg_store.empty()) return;
-  if (control != nullptr && control->ShouldStop()) return;
-  validator_.BindQuery(query,
-                       static_cast<size_t>(seg_store.max_item()) + 1);
-  const auto n = static_cast<RankingId>(seg_store.size());
-  // Tombstoned rows are dropped BEFORE validation: a dead row never
-  // costs a distance call.
-  pending_.clear();
-  if (theta_raw >= MaxDistance(k_)) {
-    // theta admits disjoint rankings (distance exactly dmax), so the
-    // posting union is no longer a superset of the answer: every alive
-    // row is a candidate. For theta < dmax the union is exact — a
-    // non-overlapping ranking sits at dmax > theta.
-    for (RankingId local = 0; local < n; ++local) {
-      if (tombstones_.count(global_ids[local]) == 0) {
-        pending_.push_back(local);
-      }
-    }
-  } else {
-    const auto candidates =
-        FilterPhase(index, query, theta_raw, DropMode::kNone,
-                    seg_store.size(), &filter_, stats);
-    for (const RankingId local : candidates) {
-      if (tombstones_.count(global_ids[local]) == 0) {
-        pending_.push_back(local);
-      }
-    }
-  }
-  AddTicker(stats, Ticker::kCandidates, pending_.size());
-  accepted_.clear();
-  validator_.ValidateSpan(seg_store, pending_, theta_raw, &accepted_, stats,
-                          control);
-  for (const RankingId local : accepted_) {
-    out->push_back(global_ids[local]);
-  }
-}
-
-namespace {
-
-/// Maps an observed stop to its Status and ticks the deadline counter.
-Status StopStatus(const QueryControl& control, const char* what,
-                  Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) {
-    return Status::Aborted(std::string(what) + " cancelled");
-  }
-  return Status::DeadlineExceeded(std::string(what) +
-                                  " exceeded its deadline");
-}
-
-}  // namespace
-
 std::vector<RankingId> MutableStore::RangeQuery(const PreparedQuery& query,
                                                 RawDistance theta_raw,
                                                 Statistics* stats) {
@@ -226,32 +166,46 @@ Status MutableStore::RangeQuery(const PreparedQuery& query,
   MutexLock lock(&mutex_);
   TOPK_DCHECK(query.k() == k_);
   out->clear();
-  CollectRangeLocked(main_->store, main_->index, main_->global_ids,
-                     query.view(), theta_raw, out, stats, control);
-  if (sealed_ != nullptr) {
-    CollectRangeLocked(sealed_->store, sealed_->index, sealed_->global_ids,
-                       query.view(), theta_raw, out, stats, control);
-  }
-  CollectRangeLocked(delta_.store, delta_.index, delta_.global_ids,
-                     query.view(), theta_raw, out, stats, control);
-  if (control != nullptr && control->stopped()) {
+  // Each segment is one kernel RangeSearch over its own index, with
+  // tombstoned rows dropped BEFORE validation (a dead row never costs a
+  // distance call). The scratch is reached through locals: the lambda
+  // body is analysed without the store mutex, which this frame holds.
+  const std::unordered_set<RankingId>& tombstones = tombstones_;
+  FilterScratch* const filter = &filter_;
+  FootruleValidator* const validator = &validator_;
+  std::vector<RankingId>* const accepted = &accepted_;
+  const auto search = [&](const auto& segment) {
+    const auto alive = [&](RankingId local) {
+      return tombstones.count(segment.global_ids[local]) == 0;
+    };
+    if (!RangeSearch(segment.store, segment.index, query.view(), theta_raw,
+                     DropMode::kNone, filter, validator, accepted, stats,
+                     control, alive)) {
+      return false;
+    }
+    for (const RankingId local : *accepted) {
+      out->push_back(segment.global_ids[local]);
+    }
+    return true;
+  };
+  // Segment id ranges are disjoint and ascending (main < sealed < delta)
+  // and local -> global maps are increasing, so appending each segment's
+  // ascending answer keeps `out` in ascending global-id order.
+  const bool answered =
+      search(*main_) && (sealed_ == nullptr || search(*sealed_)) &&
+      search(delta_);
+  if (!answered) {
     // Partial per-segment results are not an answer; discard them so a
     // caller can never mistake a timed-out query for a small result.
     out->clear();
     return StopStatus(*control, "range query", stats);
   }
-  // Per-segment accepts arrive in filter order; one sort restores the
-  // ascending-global-id contract (segment id ranges are disjoint, so
-  // this equals a k-way merge of sorted per-segment lists).
-  std::sort(out->begin(), out->end());
-  AddTicker(stats, Ticker::kResults, out->size());
   return Status::OK();
 }
 
 void MutableStore::CollectKnnLocked(const RankingStore& seg_store,
                                     const std::vector<RankingId>& global_ids,
-                                    RankingView query,
-                                    std::vector<Neighbor>* out,
+                                    RankingView query, NeighborHeap* heap,
                                     Statistics* stats,
                                     QueryControl* control) {
   if (seg_store.empty()) return;
@@ -265,8 +219,7 @@ void MutableStore::CollectKnnLocked(const RankingStore& seg_store,
     const RankingId global = global_ids[local];
     if (tombstones_.count(global) != 0) continue;
     AddTicker(stats, Ticker::kDistanceCalls);
-    out->push_back(
-        Neighbor{global, validator_.Distance(seg_store.view(local))});
+    heap->Offer(global, validator_.Distance(seg_store.view(local)));
   }
 }
 
@@ -285,26 +238,21 @@ Status MutableStore::KnnQuery(const PreparedQuery& query, size_t j,
   MutexLock lock(&mutex_);
   TOPK_DCHECK(query.k() == k_);
   out->clear();
-  CollectKnnLocked(main_->store, main_->global_ids, query.view(), out, stats,
+  // Every segment offers into one heap of the j best (distance, id): the
+  // same total order a full sort would apply, so ties stay exact.
+  NeighborHeap heap(j);
+  CollectKnnLocked(main_->store, main_->global_ids, query.view(), &heap, stats,
                    control);
   if (sealed_ != nullptr) {
-    CollectKnnLocked(sealed_->store, sealed_->global_ids, query.view(), out,
+    CollectKnnLocked(sealed_->store, sealed_->global_ids, query.view(), &heap,
                      stats, control);
   }
-  CollectKnnLocked(delta_.store, delta_.global_ids, query.view(), out, stats,
+  CollectKnnLocked(delta_.store, delta_.global_ids, query.view(), &heap, stats,
                    control);
   if (control != nullptr && control->stopped()) {
-    out->clear();
     return StopStatus(*control, "knn query", stats);
   }
-  const auto by_distance_then_id = [](const Neighbor& a, const Neighbor& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
-  };
-  const size_t take = std::min(j, out->size());
-  std::partial_sort(out->begin(),
-                    out->begin() + static_cast<ptrdiff_t>(take), out->end(),
-                    by_distance_then_id);
-  out->resize(take);
+  *out = std::move(heap).Finish();
   return Status::OK();
 }
 
@@ -395,14 +343,11 @@ MutableStore::BuildMergedSegmentWithRetries(
   }
 }
 
-bool MutableStore::FinishMergeCycle(
-    std::shared_ptr<const MainSegment> main_snapshot,
-    std::shared_ptr<const DeltaSegment> sealed_snapshot,
-    std::unordered_set<RankingId> consumed) {
+bool MutableStore::FinishMergeCycle(MergeClaim claim) {
   // The rebuild runs with no lock held: writers land in the fresh
   // delta and readers query main + sealed + delta the whole time.
-  auto next = BuildMergedSegmentWithRetries(*main_snapshot, *sealed_snapshot,
-                                            consumed);
+  auto next = BuildMergedSegmentWithRetries(*claim.main, *claim.sealed,
+                                            claim.consumed);
   {
     MutexLock lock(&mutex_);
     merge_in_flight_ = false;
@@ -420,16 +365,39 @@ bool MutableStore::FinishMergeCycle(
       return false;
     }
     last_merge_status_ = Status::OK();
-    InstallMergedLocked(next, consumed);
+    InstallMergedLocked(next, claim.consumed);
   }
   MaybeEmitSnapshot(*next);
   return true;
 }
 
+MutableStore::MergeClaim MutableStore::ClaimMergeLocked() {
+  merge_in_flight_ = true;
+  MergeClaim claim;
+  if (sealed_ == nullptr) {
+    SealLocked();
+    claim.consumed = tombstones_;  // delta is now empty: all are consumable
+  } else {
+    // A sealed segment left over from a failed cycle: the active delta
+    // has kept absorbing writes since, so only tombstones on rows this
+    // rebuild actually drops may be retired at the swap — erasing a
+    // delta-row tombstone here would resurrect the row.
+    for (const RankingId id : tombstones_) {
+      if (std::binary_search(main_->global_ids.begin(),
+                             main_->global_ids.end(), id) ||
+          std::binary_search(sealed_->global_ids.begin(),
+                             sealed_->global_ids.end(), id)) {
+        claim.consumed.insert(id);
+      }
+    }
+  }
+  claim.main = main_;
+  claim.sealed = sealed_;
+  return claim;
+}
+
 bool MutableStore::MergeNow() {
-  std::shared_ptr<const MainSegment> main_snapshot;
-  std::shared_ptr<const DeltaSegment> sealed_snapshot;
-  std::unordered_set<RankingId> consumed;
+  MergeClaim claim;
   {
     MutexLock lock(&mutex_);
     while (merge_in_flight_) merge_cv_.Wait(mutex_);
@@ -439,36 +407,14 @@ bool MutableStore::MergeNow() {
     if (sealed_ == nullptr && delta_.store.empty() && tombstones_.empty()) {
       return false;
     }
-    merge_in_flight_ = true;
-    if (sealed_ == nullptr) {
-      SealLocked();
-      consumed = tombstones_;  // delta is now empty: all are consumable
-    } else {
-      // A sealed segment left over from a failed cycle: the active delta
-      // has kept absorbing writes since, so only tombstones on rows this
-      // rebuild actually drops may be retired at the swap — erasing a
-      // delta-row tombstone here would resurrect the row.
-      for (const RankingId id : tombstones_) {
-        if (std::binary_search(main_->global_ids.begin(),
-                               main_->global_ids.end(), id) ||
-            std::binary_search(sealed_->global_ids.begin(),
-                               sealed_->global_ids.end(), id)) {
-          consumed.insert(id);
-        }
-      }
-    }
-    main_snapshot = main_;
-    sealed_snapshot = sealed_;
+    claim = ClaimMergeLocked();
   }
-  return FinishMergeCycle(std::move(main_snapshot),
-                          std::move(sealed_snapshot), std::move(consumed));
+  return FinishMergeCycle(std::move(claim));
 }
 
 void MutableStore::MergeWorkerLoop() {
   while (true) {
-    std::shared_ptr<const MainSegment> main_snapshot;
-    std::shared_ptr<const DeltaSegment> sealed_snapshot;
-    std::unordered_set<RankingId> consumed;
+    MergeClaim claim;
     {
       MutexLock lock(&mutex_);
       while (!stop_worker_ &&
@@ -477,31 +423,14 @@ void MutableStore::MergeWorkerLoop() {
         merge_cv_.Wait(mutex_);
       }
       if (stop_worker_) return;
-      merge_in_flight_ = true;
-      if (sealed_ == nullptr) {
-        SealLocked();
-        consumed = tombstones_;
-      } else {
-        // Same leftover-sealed rule as MergeNow (see there).
-        for (const RankingId id : tombstones_) {
-          if (std::binary_search(main_->global_ids.begin(),
-                                 main_->global_ids.end(), id) ||
-              std::binary_search(sealed_->global_ids.begin(),
-                                 sealed_->global_ids.end(), id)) {
-            consumed.insert(id);
-          }
-        }
-      }
-      main_snapshot = main_;
-      sealed_snapshot = sealed_;
+      claim = ClaimMergeLocked();
     }
-    FinishMergeCycle(std::move(main_snapshot), std::move(sealed_snapshot),
-                     std::move(consumed));
+    FinishMergeCycle(std::move(claim));
   }
 }
 
 void MutableStore::MaybeEmitSnapshot(const MainSegment& segment) {
-  if (options_.snapshot_path.empty() && snapshot_manager_ == nullptr) return;
+  if (snapshot_manager_ == nullptr) return;
   Status status;
   if (segment.store.empty()) {
     // WriteStoreSnapshot rejects empty stores; a merge that compacted
@@ -523,13 +452,9 @@ void MutableStore::MaybeEmitSnapshot(const MainSegment& segment) {
     for (int attempt = 1;; ++attempt) {
       if (TOPK_FAILPOINT("mutate.snapshot.emit")) {
         status = Status::IOError("injected failure: mutate.snapshot.emit");
-      } else if (snapshot_manager_ != nullptr) {
+      } else {
         status = snapshot_manager_->WriteSnapshot(segment.store, arena,
                                                   augmented.arena());
-      } else {
-        status = storage::WriteStoreSnapshot(segment.store, arena,
-                                             augmented.arena(),
-                                             options_.snapshot_path);
       }
       if (status.ok() || attempt >= max_attempts) break;
       merge_retries_.fetch_add(1, std::memory_order_acq_rel);

@@ -15,17 +15,17 @@
 //                   filtered out of every candidate list BEFORE
 //                   validation and physically dropped at the next merge.
 //
-// Queries merge main + sealed + delta exactly: each segment runs the
-// same kernel FilterPhase -> FootruleValidator pipeline every static
-// engine uses (ValidateAll when theta admits disjoint rankings), locals
-// map to global ids through strictly increasing per-segment maps, and
-// the per-segment result lists concatenate in ascending global order
-// (segment id ranges are disjoint and ordered). k-NN scans alive rows
-// through the bound validator and truncates to the global (distance, id)
-// order. Both answers are bit-identical to a store rebuilt from scratch
-// out of the alive records in global-id order — the differential
-// contract tests/mutate_store_test.cc and tests/adapt_delta_test.cc
-// hold, including under TSan with concurrent writers and readers.
+// Queries merge main + sealed + delta exactly: each segment is one call
+// of the kernel RangeSearch (kernel/range_search.h) every static engine
+// makes, with the tombstones as its keep predicate; locals map to global
+// ids through strictly increasing per-segment maps, and the per-segment
+// result lists concatenate in ascending global order (segment id ranges
+// are disjoint and ordered). k-NN scans alive rows through the bound
+// validator into one NeighborHeap of the j best by (distance, id). Both
+// answers are bit-identical to a store rebuilt from scratch out of the
+// alive records in global-id order — the differential contract
+// tests/mutate_store_test.cc and tests/adapt_delta_test.cc hold,
+// including under TSan with concurrent writers and readers.
 //
 // Background merge (the RediSearch fork_gc.c shape — collect without
 // blocking writers on the rebuild):
@@ -98,22 +98,17 @@ struct MutableStoreOptions {
 
   /// When non-empty, every successful merge also persists the freshly
   /// rebuilt main segment as a compressed storage snapshot
-  /// (storage/snapshot.h) at this path. The write runs OFF the store
+  /// (storage/snapshot.h) through a storage::SnapshotManager on this
+  /// directory: each emission is a new crash-safe generation, the newest
+  /// snapshot_keep_generations are retained, and recovery
+  /// (SnapshotManager::OpenNewestValid on the same directory) survives a
+  /// SIGKILL at any point of any write. The write runs OFF the store
   /// mutex, after the swap: writers and readers proceed against the
   /// installed segment while the file is emitted. The snapshot freezes
   /// the segment's rows in physical order (its dense local ids, not the
   /// sparse global ids) — it is a serving image for the frozen mmap
-  /// tier, not a replayable WAL. Failures are recorded, not thrown:
-  /// poll last_snapshot_status(). Ignored when snapshot_dir is set.
-  std::string snapshot_path;
-
-  /// When non-empty, merge-emitted snapshots go through a
-  /// storage::SnapshotManager on this directory instead of a single
-  /// fixed path: each emission is a new crash-safe generation, the
-  /// newest snapshot_keep_generations are retained, and recovery
-  /// (SnapshotManager::OpenNewestValid on the same directory) survives
-  /// a SIGKILL at any point of any write. Takes precedence over
-  /// snapshot_path.
+  /// tier, not a replayable WAL. Failures are recorded, not thrown: poll
+  /// last_snapshot_status().
   std::string snapshot_dir;
   size_t snapshot_keep_generations = 3;
 
@@ -215,7 +210,7 @@ class MutableStore {
 
   /// Outcome of the most recent merge-emitted snapshot write (OK until
   /// the first one happens). Meaningful only with a non-empty
-  /// options.snapshot_path or snapshot_dir.
+  /// options.snapshot_dir.
   Status last_snapshot_status() const TOPK_EXCLUDES(mutex_);
 
   /// Registers `listener` to run (under the store mutex) after every
@@ -284,13 +279,23 @@ class MutableStore {
       const MainSegment& main, const DeltaSegment& sealed,
       const std::unordered_set<RankingId>& dead);
 
+  /// What one merge cycle works on: the main and sealed segments it
+  /// folds, and the tombstones the swap may retire.
+  struct MergeClaim {
+    std::shared_ptr<const MainSegment> main;
+    std::shared_ptr<const DeltaSegment> sealed;
+    std::unordered_set<RankingId> consumed;
+  };
+
+  /// Claims the merge (sets merge_in_flight_) and snapshots its inputs:
+  /// seals the active delta, or — when a failed cycle left a sealed
+  /// segment behind — reuses it and consumes only the tombstones on rows
+  /// the rebuild drops.
+  MergeClaim ClaimMergeLocked() TOPK_REQUIRES(mutex_);
+
   /// Off-lock tail of a claimed merge cycle (rebuild with retries, then
-  /// install or open the circuit, then emit the snapshot). The caller
-  /// must have set merge_in_flight_ and sealed/snapshotted the inputs.
-  bool FinishMergeCycle(std::shared_ptr<const MainSegment> main_snapshot,
-                        std::shared_ptr<const DeltaSegment> sealed_snapshot,
-                        std::unordered_set<RankingId> consumed)
-      TOPK_EXCLUDES(mutex_);
+  /// install or open the circuit, then emit the snapshot).
+  bool FinishMergeCycle(MergeClaim claim) TOPK_EXCLUDES(mutex_);
 
   /// Exponential backoff with deterministic jitter for attempt >= 1.
   void BackoffSleep(int attempt) const;
@@ -298,23 +303,14 @@ class MutableStore {
   void MergeWorkerLoop() TOPK_EXCLUDES(mutex_);
 
   /// Off-lock snapshot emission of a freshly installed main segment
-  /// (no-op when options_.snapshot_path is empty); records the outcome
-  /// in last_snapshot_status_.
+  /// (no-op when options_.snapshot_dir is empty); records the outcome in
+  /// last_snapshot_status_.
   void MaybeEmitSnapshot(const MainSegment& segment) TOPK_EXCLUDES(mutex_);
 
-  /// Range pipeline for one segment: FilterPhase over its index (or
-  /// ValidateAll at theta >= dmax), tombstones filtered BEFORE
-  /// validation, accepted locals mapped to global ids.
-  template <typename Index>
-  void CollectRangeLocked(const RankingStore& seg_store, const Index& index,
-                          const std::vector<RankingId>& global_ids,
-                          RankingView query, RawDistance theta_raw,
-                          std::vector<RankingId>* out, Statistics* stats,
-                          QueryControl* control) TOPK_REQUIRES(mutex_);
-
+  /// Offers every alive row of one segment to `heap` (a full scan).
   void CollectKnnLocked(const RankingStore& seg_store,
                         const std::vector<RankingId>& global_ids,
-                        RankingView query, std::vector<Neighbor>* out,
+                        RankingView query, NeighborHeap* heap,
                         Statistics* stats, QueryControl* control)
       TOPK_REQUIRES(mutex_);
 
@@ -350,7 +346,6 @@ class MutableStore {
   /// Query scratch, reused across queries (queries serialize on mutex_).
   FilterScratch filter_ TOPK_GUARDED_BY(mutex_);
   FootruleValidator validator_ TOPK_GUARDED_BY(mutex_);
-  std::vector<RankingId> pending_ TOPK_GUARDED_BY(mutex_);
   std::vector<RankingId> accepted_ TOPK_GUARDED_BY(mutex_);
 
   /// Starts at 1: generation 0 is never published (reserved-zero rule).

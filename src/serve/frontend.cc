@@ -8,21 +8,10 @@
 #include <utility>
 
 #include "core/mutex.h"
+#include "kernel/range_search.h"
 #include "mutate/mutable_store.h"
 
 namespace topk {
-
-namespace {
-
-/// Stopped control -> caller-facing status + the deadline ticker (the
-/// counter covers cancellations too: both mean "stopped by request").
-Status StopStatus(const QueryControl& control, Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) return Status::Aborted("request cancelled");
-  return Status::DeadlineExceeded("request deadline exceeded");
-}
-
-}  // namespace
 
 bool CandidateCacheApplies(Algorithm algorithm) {
   return algorithm == Algorithm::kFV || algorithm == Algorithm::kLinearScan;
@@ -203,7 +192,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
   // lookup is cheaper than building the rejection.
   const bool cacheable = result_cache_.enabled();
   if (!cacheable && control.ShouldStop()) {
-    response->status = StopStatus(control, &executor->stats);
+    response->status = StopStatus(control, "request", &executor->stats);
     return;
   }
   if (cacheable) {
@@ -226,7 +215,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
       return;
     }
     if (control.ShouldStop()) {
-      response->status = StopStatus(control, &executor->stats);
+      response->status = StopStatus(control, "request", &executor->stats);
       return;
     }
     if (request.kind == ServeKind::kRange) {
@@ -241,7 +230,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
       response->ids.clear();
       response->neighbors.clear();
       response->candidate_cache_hit = false;
-      response->status = StopStatus(control, &executor->stats);
+      response->status = StopStatus(control, "request", &executor->stats);
       return;
     }
     if (request.kind == ServeKind::kRange) {
@@ -261,7 +250,7 @@ void QueryFrontend::ServeOne(Executor* executor, const ServeRequest& request,
     response->ids.clear();
     response->neighbors.clear();
     response->candidate_cache_hit = false;
-    response->status = StopStatus(control, &executor->stats);
+    response->status = StopStatus(control, "request", &executor->stats);
   }
 }
 
@@ -277,40 +266,41 @@ std::vector<RankingId> QueryFrontend::ServeRange(Executor* executor,
   // CandidateCacheApplies); otherwise the engine path answers directly.
   const bool candidates_applicable =
       candidate_cache_.enabled() && CandidateCacheApplies(request.algorithm) &&
-      request.theta_raw < MaxDistance(store_->k());
+      PostingUnionCoversAnswer(request.theta_raw, store_->k());
   if (!candidates_applicable) return RunEngine(executor, request);
 
+  // A hit skips the filter phase entirely: only the memoized superset is
+  // re-validated against this query's exact distances. A miss computes
+  // the union once, validates it directly (exactly plain F&V — the
+  // kernel RangeSearch over it) and memoizes it; running the engine and
+  // recomputing the union would filter twice.
   const CandidateCacheKey key = MakeCandidateCacheKey(query);
   CandidateList memoized;
-  if (candidate_cache_.Lookup(key, epoch, &memoized, &executor->stats)) {
-    // Filter phase skipped entirely: only re-validate the memoized
-    // superset against this query's exact distances.
-    response->candidate_cache_hit = true;
-    Stopwatch watch;
-    std::vector<RankingId> results = ValidateCandidates(
-        executor, *memoized, query, request.theta_raw, control);
-    executor->phases.validate_ms += watch.ElapsedMillis();
-    return results;
-  }
-  // Miss: for the union-validating algorithms the filter output IS the
-  // posting union, so compute it once, validate it directly (this is
-  // exactly plain F&V — exact below dmax), and memoize it. Running the
-  // engine and recomputing the union would filter twice. Both phases are
-  // the same kernel calls FilterValidateEngine makes (FilterPhase + the
-  // batched validator); the FuzzServe differential keeps them
-  // bit-identical to the engines.
+  std::vector<RankingId> fresh;
+  std::span<const RankingId> candidates;
+  const bool hit =
+      candidate_cache_.Lookup(key, epoch, &memoized, &executor->stats);
   Stopwatch watch;
-  std::vector<RankingId> candidates = PostingUnion(executor, query);
-  executor->phases.filter_ms += watch.ElapsedMillis();
-  watch.Restart();
-  std::vector<RankingId> results = ValidateCandidates(
-      executor, candidates, query, request.theta_raw, control);
+  if (hit) {
+    response->candidate_cache_hit = true;
+    candidates = *memoized;
+  } else {
+    fresh = PostingUnion(executor, query);
+    executor->phases.filter_ms += watch.ElapsedMillis();
+    watch.Restart();
+    candidates = fresh;
+  }
+  std::vector<RankingId> results;
+  RangeSearch(*store_, CandidateSpan{candidates}, query.view(),
+              request.theta_raw, DropMode::kNone, &executor->filter,
+              &executor->validator, &results, &executor->stats, control);
   executor->phases.validate_ms += watch.ElapsedMillis();
-  // The memoized union is still exact when the query stopped mid-
-  // validation (the filter phase completed to produce it), so inserting
-  // it is safe — only the *answer* is withheld by the caller.
-  candidate_cache_.Insert(key, epoch, std::move(candidates),
-                          &executor->stats);
+  if (!hit) {
+    // The memoized union is still exact when the query stopped mid-
+    // validation (the filter phase completed to produce it), so
+    // inserting it is safe — only the *answer* is withheld by the caller.
+    candidate_cache_.Insert(key, epoch, std::move(fresh), &executor->stats);
+  }
   return results;
 }
 
@@ -354,21 +344,6 @@ std::vector<RankingId> QueryFrontend::PostingUnion(
   std::vector<RankingId>& out = executor->filter.candidates;
   std::sort(out.begin(), out.end());
   return out;  // copies out of the reusable scratch
-}
-
-std::vector<RankingId> QueryFrontend::ValidateCandidates(
-    Executor* executor, std::span<const RankingId> candidates,
-    const PreparedQuery& query, RawDistance theta_raw,
-    QueryControl* control) const {
-  Statistics* stats = &executor->stats;
-  std::vector<RankingId> results;
-  AddTicker(stats, Ticker::kCandidates, candidates.size());
-  executor->validator.BindQuery(query.view(),
-                                static_cast<size_t>(store_->max_item()) + 1);
-  executor->validator.ValidateSpan(*store_, candidates, theta_raw, &results,
-                                   stats, control);
-  AddTicker(stats, Ticker::kResults, results.size());
-  return results;
 }
 
 RunResult QueryFrontend::ServeWorkload(Algorithm algorithm,

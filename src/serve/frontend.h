@@ -260,13 +260,6 @@ class QueryFrontend {
   /// (the kernel FilterPhase plus a sort for the canonical cache form).
   std::vector<RankingId> PostingUnion(Executor* executor,
                                       const PreparedQuery& query);
-  /// Validates `candidates` (ascending) against theta through the
-  /// executor's batched validator, ticking the same counters a plain
-  /// validate phase would.
-  std::vector<RankingId> ValidateCandidates(
-      Executor* executor, std::span<const RankingId> candidates,
-      const PreparedQuery& query, RawDistance theta_raw,
-      QueryControl* control = nullptr) const;
 
   const RankingStore* store_;
   QueryFrontendOptions options_;

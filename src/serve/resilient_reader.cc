@@ -1,21 +1,11 @@
 #include "serve/resilient_reader.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/failpoint.h"
+#include "kernel/range_search.h"
 
 namespace topk {
-
-namespace {
-
-Status StopStatus(const QueryControl& control, Statistics* stats) {
-  AddTicker(stats, Ticker::kDeadlineExceeded);
-  if (control.cancelled()) return Status::Aborted("range query cancelled");
-  return Status::DeadlineExceeded("range query deadline exceeded");
-}
-
-}  // namespace
 
 ResilientReader::ResilientReader(const RankingStore* ram_store,
                                  ResilientReaderOptions options)
@@ -66,22 +56,32 @@ Status ResilientReader::RangeQuery(const PreparedQuery& query,
   out->clear();
   MutexLock lock(&mutex_);
   if (control != nullptr && control->ShouldStop()) {
-    return StopStatus(*control, stats);
+    return StopStatus(*control, "range query", stats);
   }
-  if (snapshot_.has_value() && !degraded_) {
-    // The failpoint stands in for the unscriptable hardware fault: a
-    // cold mmap page whose backing device died surfaces here, on first
-    // touch, not at open time. Degradation is sticky — one fault means
-    // the mapping cannot be trusted for any later page either.
-    if (TOPK_FAILPOINT("serve.snapshot.query")) {
-      degraded_ = true;
-      snapshot_.reset();  // drop the failing mapping
-    } else {
-      return SnapshotRangeLocked(query, theta_raw, control, out, stats);
-    }
+  // The failpoint stands in for the unscriptable hardware fault: a cold
+  // mmap page whose backing device died surfaces here, on first touch,
+  // not at open time. Degradation is sticky — one fault means the
+  // mapping cannot be trusted for any later page either.
+  if (snapshot_.has_value() && TOPK_FAILPOINT("serve.snapshot.query")) {
+    degraded_ = true;
+    snapshot_.reset();  // drop the failing mapping
   }
-  if (degraded_) AddTicker(stats, Ticker::kDegradedReads);
-  return RamRangeLocked(query, theta_raw, control, out, stats);
+  bool answered;
+  if (snapshot_.has_value()) {
+    answered = RangeSearch(snapshot_->snapshot.store(),
+                           snapshot_->snapshot.index(), query.view(), theta_raw,
+                           DropMode::kNone, &filter_, &validator_, out, stats,
+                           control);
+  } else {
+    if (degraded_) AddTicker(stats, Ticker::kDegradedReads);
+    // No index survives on the RAM tier (the compressed postings lived
+    // in the dropped mapping), so the fallback validates every row:
+    // slower, never wrong, and alive — which is the whole point.
+    answered = RangeSearch(*ram_store_, AllRows{}, query.view(), theta_raw,
+                           DropMode::kNone, &filter_, &validator_, out, stats,
+                           control);
+  }
+  return answered ? Status::OK() : StopStatus(*control, "range query", stats);
 }
 
 std::vector<RankingId> ResilientReader::RangeQuery(const PreparedQuery& query,
@@ -91,70 +91,6 @@ std::vector<RankingId> ResilientReader::RangeQuery(const PreparedQuery& query,
   const Status status = RangeQuery(query, theta_raw, nullptr, &out, stats);
   TOPK_DCHECK(status.ok());  // no deadline, no fault surfaces as a status
   return out;
-}
-
-Status ResilientReader::SnapshotRangeLocked(const PreparedQuery& query,
-                                            RawDistance theta_raw,
-                                            QueryControl* control,
-                                            std::vector<RankingId>* out,
-                                            Statistics* stats) {
-  const RankingStore& store = snapshot_->snapshot.store();
-  if (theta_raw >= MaxDistance(store.k())) {
-    // A posting union misses rankings disjoint from the query (they sit
-    // at exactly dmax); validate the whole domain instead, exactly like
-    // the RAM tier does — the tiers stay bit-identical at every theta.
-    return ValidateLocked(store, AllIdsLocked(store.size()), query, theta_raw,
-                          control, out, stats);
-  }
-  const std::span<const RankingId> candidates =
-      FilterPhase(snapshot_->snapshot.index(), query.view(), theta_raw,
-                  DropMode::kNone, store.size(), &filter_, stats);
-  Status status = ValidateLocked(store, candidates, query, theta_raw, control,
-                                 out, stats);
-  if (status.ok()) std::sort(out->begin(), out->end());
-  return status;
-}
-
-Status ResilientReader::RamRangeLocked(const PreparedQuery& query,
-                                       RawDistance theta_raw,
-                                       QueryControl* control,
-                                       std::vector<RankingId>* out,
-                                       Statistics* stats) {
-  // No index survives on this tier (the compressed postings lived in the
-  // dropped mapping), so the fallback is a straight validate-everything
-  // scan: slower, never wrong, and alive — which is the whole point.
-  return ValidateLocked(*ram_store_, AllIdsLocked(ram_store_->size()), query,
-                        theta_raw, control, out, stats);
-}
-
-Status ResilientReader::ValidateLocked(const RankingStore& store,
-                                       std::span<const RankingId> candidates,
-                                       const PreparedQuery& query,
-                                       RawDistance theta_raw,
-                                       QueryControl* control,
-                                       std::vector<RankingId>* out,
-                                       Statistics* stats) {
-  AddTicker(stats, Ticker::kCandidates, candidates.size());
-  validator_.BindQuery(query.view(),
-                       static_cast<size_t>(store.max_item()) + 1);
-  validator_.ValidateSpan(store, candidates, theta_raw, out, stats, control);
-  if (control != nullptr && control->ShouldStop()) {
-    out->clear();
-    return StopStatus(*control, stats);
-  }
-  AddTicker(stats, Ticker::kResults, out->size());
-  return Status::OK();
-}
-
-std::span<const RankingId> ResilientReader::AllIdsLocked(size_t n) {
-  if (all_ids_.size() < n) {
-    const size_t old = all_ids_.size();
-    all_ids_.resize(n);
-    for (size_t id = old; id < n; ++id) {
-      all_ids_[id] = static_cast<RankingId>(id);
-    }
-  }
-  return std::span<const RankingId>(all_ids_.data(), n);
 }
 
 }  // namespace topk

@@ -17,10 +17,11 @@
 // corrupted generation is quarantined rather than re-trusted).
 //
 // Exactness across tiers: both paths answer bit-identically for every
-// theta. Below dmax the snapshot tier runs filter+validate over the
-// compressed index; at or above dmax (where a posting union provably
-// misses disjoint rankings) both tiers validate the full id domain.
-// tests/serve_robustness_test.cc differentials pin this.
+// theta, because both are the one kernel RangeSearch
+// (kernel/range_search.h) — the snapshot tier over the compressed mmap
+// index, the RAM tier over no index at all (AllRows: every row is
+// validated). At theta >= dmax the kernel validates every row on either
+// tier. tests/serve_robustness_test.cc differentials pin this.
 //
 // Thread safety: all methods serialize on an internal mutex (the
 // kernel scratch and the tier state are shared); concurrent callers
@@ -98,22 +99,6 @@ class ResilientReader {
       TOPK_EXCLUDES(mutex_);
 
  private:
-  Status SnapshotRangeLocked(const PreparedQuery& query, RawDistance theta_raw,
-                             QueryControl* control,
-                             std::vector<RankingId>* out, Statistics* stats)
-      TOPK_REQUIRES(mutex_);
-  Status RamRangeLocked(const PreparedQuery& query, RawDistance theta_raw,
-                        QueryControl* control, std::vector<RankingId>* out,
-                        Statistics* stats) TOPK_REQUIRES(mutex_);
-  /// Validates candidates (or, for all_ids == true, the whole id domain
-  /// of `store`) through the shared kernel scratch.
-  Status ValidateLocked(const RankingStore& store,
-                        std::span<const RankingId> candidates,
-                        const PreparedQuery& query, RawDistance theta_raw,
-                        QueryControl* control, std::vector<RankingId>* out,
-                        Statistics* stats) TOPK_REQUIRES(mutex_);
-  std::span<const RankingId> AllIdsLocked(size_t n) TOPK_REQUIRES(mutex_);
-
   const RankingStore* ram_store_;
   ResilientReaderOptions options_;
   storage::SnapshotManager manager_;
@@ -123,7 +108,6 @@ class ResilientReader {
   bool degraded_ TOPK_GUARDED_BY(mutex_) = false;
   FilterScratch filter_ TOPK_GUARDED_BY(mutex_);
   FootruleValidator validator_ TOPK_GUARDED_BY(mutex_);
-  std::vector<RankingId> all_ids_ TOPK_GUARDED_BY(mutex_);
 };
 
 }  // namespace topk

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "kernel/range_search.h"
+
 namespace topk {
 namespace storage {
 
@@ -124,20 +126,27 @@ std::vector<RankingId> CompressedAugmentedEngine::Query(
           acc.seen_sum + dmax - acc.seen_q_cost - acc.seen_c_cost;
       if (distance <= theta_raw) results.push_back(id);
     }
-    std::sort(results.begin(), results.end());
-    AddTicker(stats, Ticker::kResults, results.size());
-    return results;
+  } else {
+    // Incomplete sweep: partial sums can rule candidates out, never prove
+    // them in — validate survivors exactly through the batched kernel.
+    survivors_.clear();
+    for (const RankingId id : touched_) {
+      if (!accs_[id].dead) survivors_.push_back(id);
+    }
+    validator_.BindQuery(query.view(),
+                         static_cast<size_t>(store_->max_item()) + 1);
+    validator_.ValidateSpan(*store_, survivors_, theta_raw, &results, stats);
   }
-
-  // Incomplete sweep: partial sums can rule candidates out, never prove
-  // them in — validate survivors exactly through the batched kernel.
-  survivors_.clear();
-  for (const RankingId id : touched_) {
-    if (!accs_[id].dead) survivors_.push_back(id);
+  if (!PostingUnionCoversAnswer(theta_raw, k)) {
+    // No Footrule distance exceeds dmax, so at theta >= dmax the rows the
+    // sweep never touched — among them every ranking disjoint from the
+    // query, which no posting list holds — are in range too.
+    for (RankingId id = 0; id < store_->size(); ++id) {
+      if (id >= accs_.size() || accs_[id].epoch != epoch_) {
+        results.push_back(id);
+      }
+    }
   }
-  validator_.BindQuery(query.view(),
-                       static_cast<size_t>(store_->max_item()) + 1);
-  validator_.ValidateSpan(*store_, survivors_, theta_raw, &results, stats);
   std::sort(results.begin(), results.end());
   AddTicker(stats, Ticker::kResults, results.size());
   return results;

@@ -25,7 +25,11 @@
 // already credited), so results finalize with zero store probes and zero
 // distance calls. Any skipping falls back to the batched exact validator
 // over the surviving candidates — partial sums over skipped blocks can
-// rule candidates out, never prove them in. Either way the results are
+// rule candidates out, never prove them in. At theta >= dmax (where
+// every ranking is in range) the rows the sweep never touched — those
+// disjoint from the query, in no posting list — are appended without a
+// distance call (kernel/range_search.h's PostingUnionCoversAnswer rule).
+// Either way the results are
 // bit-identical to the uncompressed engines (tests/storage_augmented_test
 // pins every drop mode against FilterValidateEngine and brute force).
 

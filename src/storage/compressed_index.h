@@ -11,10 +11,10 @@
 // uncompressed index (tests/storage_compress_test.cc pins every engine
 // configuration, fuzzed).
 //
-// CompressedFilterValidateEngine mirrors FilterValidateEngine exactly —
-// same FilterPhase call, same batched SIMD FootruleValidator, same
-// result sort — so the only moving part between the two is where the
-// posting bytes come from.
+// CompressedFilterValidateEngine is FilterValidateEngine's template
+// (invidx/filter_validate.h) instantiated over this index: the pipeline
+// is the one kernel RangeSearch, so the only moving part between the two
+// is where the posting bytes come from.
 
 #ifndef TOPK_STORAGE_COMPRESSED_INDEX_H_
 #define TOPK_STORAGE_COMPRESSED_INDEX_H_
@@ -25,10 +25,9 @@
 #include "core/ranking.h"
 #include "core/statistics.h"
 #include "core/types.h"
-#include "invidx/drop_policy.h"
+#include "invidx/filter_validate.h"
 #include "invidx/plain_inverted_index.h"
 #include "kernel/filter_phase.h"
-#include "kernel/footrule_batch.h"
 #include "storage/compressed_arena.h"
 
 namespace topk {
@@ -98,41 +97,10 @@ class CompressedInvertedIndex {
   size_t num_indexed_ = 0;
 };
 
-struct CompressedEngineOptions {
-  DropMode drop = DropMode::kNone;
-};
-
-/// F&V / F&V+Drop over the compressed index: FilterValidateEngine with
-/// the storage tier underneath, bit-identical results.
-class CompressedFilterValidateEngine {
- public:
-  /// `store` and `index` must outlive the engine.
-  CompressedFilterValidateEngine(const RankingStore* store,
-                                 const CompressedInvertedIndex* index,
-                                 CompressedEngineOptions options = {});
-
-  /// All rankings within raw distance `theta_raw` of the query, in
-  /// ascending id order.
-  std::vector<RankingId> Query(const PreparedQuery& query,
-                               RawDistance theta_raw,
-                               Statistics* stats = nullptr);
-
-  /// Query restricted to ids in [id_lo, id_hi]: the filter phase decodes
-  /// only the posting blocks intersecting the range (kBlocksSkipped /
-  /// kPostingEntriesSkipped account the savings). Results are identical
-  /// to Query() filtered to the id range.
-  std::vector<RankingId> QueryIdRange(const PreparedQuery& query,
-                                      RawDistance theta_raw, RankingId id_lo,
-                                      RankingId id_hi,
-                                      Statistics* stats = nullptr);
-
- private:
-  const RankingStore* store_;
-  const CompressedInvertedIndex* index_;
-  CompressedEngineOptions options_;
-  FilterScratch filter_;
-  FootruleValidator validator_;
-};
+/// F&V / F&V+Drop over the compressed index: the same engine as
+/// FilterValidateEngine, with the storage tier underneath.
+using CompressedFilterValidateEngine =
+    BasicFilterValidateEngine<CompressedInvertedIndex>;
 
 }  // namespace storage
 }  // namespace topk

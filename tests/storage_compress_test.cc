@@ -324,7 +324,9 @@ TEST(CompressedArenaFuzz, AugmentedEntriesRoundTrip) {
 
 // ---------------------------------------------------------------------
 // Engine differential: compressed vs plain F&V must be bit-identical —
-// results AND tickers — for every drop mode and theta, k = 1 included.
+// results AND tickers — for every drop mode and theta, k = 1 included,
+// and both must equal brute force. At theta = dmax that includes the
+// rankings sharing no item with the query, which no posting list holds.
 
 void ExpectEngineEquivalence(const RankingStore& store, uint64_t seed) {
   const PlainInvertedIndex plain = PlainInvertedIndex::Build(store);
@@ -347,6 +349,8 @@ void ExpectEngineEquivalence(const RankingStore& store, uint64_t seed) {
         ASSERT_EQ(actual, expected)
             << "drop=" << static_cast<int>(drop) << " theta=" << theta;
         ASSERT_EQ(tier_stats, ref_stats)
+            << "drop=" << static_cast<int>(drop) << " theta=" << theta;
+        ASSERT_EQ(expected, testutil::BruteForce(store, query, theta))
             << "drop=" << static_cast<int>(drop) << " theta=" << theta;
       }
     }

@@ -2,7 +2,7 @@
 // differential against the RAM-resident engines, corruption and
 // truncation at every layer of the format (header, section table,
 // section payloads), lazy checksum verification, and the MutableStore
-// merge-emitted snapshot.
+// merge-emitted snapshot generation.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "storage/compressed_arena.h"
 #include "storage/compressed_augmented.h"
 #include "storage/snapshot.h"
+#include "storage/snapshot_manager.h"
 #include "test_util.h"
 
 namespace topk {
@@ -32,6 +34,7 @@ namespace {
 using storage::CompressedPostingArena;
 using storage::OpenStoreSnapshot;
 using storage::SnapshotHeader;
+using storage::SnapshotManager;
 using storage::StoreSnapshot;
 using storage::VerifySnapshotChecksums;
 using storage::WriteStoreSnapshot;
@@ -227,9 +230,10 @@ TEST(StoreSnapshot, PayloadCorruptionIsCaughtByVerifyNotOpen) {
 
 TEST(StoreSnapshot, MergeEmitsLoadableSnapshot) {
   const RankingStore initial = testutil::MakeClusteredStore(10, 300, 23);
-  const std::string path = TempPath("merge-emitted.snap");
+  const std::string dir = TempPath("merge-emitted");
+  std::filesystem::remove_all(dir);
   MutableStoreOptions options;
-  options.snapshot_path = path;
+  options.snapshot_dir = dir;
   MutableStore live(initial, options);
 
   // Mutate, then merge: the snapshot must freeze the rebuilt segment.
@@ -242,27 +246,27 @@ TEST(StoreSnapshot, MergeEmitsLoadableSnapshot) {
   ASSERT_TRUE(live.last_snapshot_status().ok())
       << live.last_snapshot_status().ToString();
 
-  auto opened = OpenStoreSnapshot(path);
+  auto opened = SnapshotManager(dir).OpenNewestValid();
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_EQ(opened.value().store().size(), live.live_size());
-  EXPECT_TRUE(VerifySnapshotChecksums(path).ok());
+  const StoreSnapshot& snapshot = opened.value().snapshot;
+  EXPECT_EQ(snapshot.store().size(), live.live_size());
+  EXPECT_TRUE(VerifySnapshotChecksums(opened.value().path).ok());
 
   // The frozen rows answer queries identically to a plain engine over
   // the same rows.
-  const RankingStore& frozen = opened.value().store();
+  const RankingStore& frozen = snapshot.store();
   RankingStore rebuilt(frozen.k());
   for (RankingId id = 0; id < frozen.size(); ++id) {
     rebuilt.AddUnchecked(frozen.view(id).items());
   }
   const PlainInvertedIndex plain = PlainInvertedIndex::Build(rebuilt);
   FilterValidateEngine reference(&rebuilt, &plain, {});
-  storage::CompressedFilterValidateEngine tier(&frozen,
-                                               &opened.value().index(), {});
+  storage::CompressedFilterValidateEngine tier(&frozen, &snapshot.index(), {});
   const RawDistance theta = MaxDistance(frozen.k()) / 3;
   for (const auto& query : testutil::MakeQueries(rebuilt, 6, 31)) {
     EXPECT_EQ(tier.Query(query, theta), reference.Query(query, theta));
   }
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StoreSnapshot, RejectsForeignByteOrderAndLayout) {
